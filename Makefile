@@ -57,12 +57,14 @@ race:
 # linter the machine calls from strict mode) plus the trace-engine parity
 # difftest, whose replay path shares compiled traces and memoized recipe
 # expansions across sweep workers, the parallel-scheduler parity difftest,
-# which fans cores out across scheduler goroutines, and the serve-layer
-# parity and warm-pool hammer tests — fast enough for every CI run.
+# which fans cores out across scheduler goroutines, the serve-layer
+# parity and warm-pool hammer tests, and the batch-window tests (joiners
+# append to a running batch while a timer goroutine seals it) — fast
+# enough for every CI run.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint
 	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestPipelineSession' ./internal/serve
+	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestPipelineSession|TestBatchingCoalesces|TestWindowOverlapsLatency|TestJoinWhileRunning|TestCloseFiresPendingSeals' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
 

@@ -10,6 +10,12 @@
 //	     [-notrace] [-nojit] [-j N] [-node-id node0] [-quiet]
 //	     [-nopreempt] [-max-parked 8]
 //
+// Batching: identical batch-class requests coalesce into one run while the
+// batch is open. The window overlaps execution: a worker runs a batch as
+// soon as it dequeues it, and the batch stays open until its shared answer
+// goes out, when both the run and -window (counted from its first request's
+// admission) are over. A negative -window seals every batch at dequeue.
+//
 // QoS: the X-QoS request header selects a class — "latency" (strict queue
 // priority; preempts running batch jobs at ensemble boundaries) or "batch"
 // (the default). -nopreempt keeps the priority queues but never interrupts a
@@ -62,7 +68,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 	pools := flag.String("pools", "racer:mpu:2", "warm pools: backend:mode[:size],... (modes: mpu, baseline)")
 	queue := flag.Int("queue", 64, "admission queue depth per pool, in batches")
-	window := flag.Duration("window", 2*time.Millisecond, "batching window (negative disables coalescing waits)")
+	window := flag.Duration("window", 2*time.Millisecond, "batch-class coalescing window from a batch's first admission; overlaps execution, answers wait for it (negative seals at dequeue)")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	maxElements := flag.Int("max-elements", 1<<20, "per-request element cap for workload runs")
 	notrace := flag.Bool("notrace", false, "disable the ensemble trace engine in pool machines")

@@ -248,7 +248,7 @@ func main() {
 		"request mix: workload:backend[:mode],... cycled per client")
 	flag.IntVar(&o.elements, "elements", 128, "elements per request")
 	flag.IntVar(&o.queue, "queue", 64, "self-hosted admission queue depth per pool")
-	flag.DurationVar(&o.window, "window", 2*time.Millisecond, "self-hosted batching window")
+	flag.DurationVar(&o.window, "window", 2*time.Millisecond, "self-hosted batch-class coalescing window (overlaps execution; answers wait for it; negative seals at dequeue)")
 	flag.BoolVar(&o.drain, "drain", false, "SIGTERM the self-hosted server (node 0 in cluster mode) at half duration")
 	flag.BoolVar(&o.strict, "strict", false, "exit non-zero on any dropped request or transport error")
 	flag.IntVar(&o.seeds, "seeds", 8, "distinct seed values cycled across requests (higher defeats batch coalescing)")

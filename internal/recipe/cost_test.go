@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mpu/internal/isa"
+	"mpu/internal/micro"
 )
 
 // TestRecipeCostGolden pins the micro-op counts of every datapath
@@ -91,5 +92,22 @@ func TestCostsDeterministic(t *testing.T) {
 				t.Fatalf("%s: nondeterministic op at %d", in.Op, i)
 			}
 		}
+	}
+}
+
+// TestRDIVOnNOR pins the mix of the longest micro-op stream the served
+// data-dependent kernels run: RDIV (gcd's remainder step) on RACER's NOR-only
+// datapath. docs/PERF.md reasons about interpreter cost from these figures.
+func TestRDIVOnNOR(t *testing.T) {
+	ops, err := Expand(capSets["racer"], isa.RDiv(0, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[micro.Kind]int{}
+	for _, op := range ops {
+		kinds[op.Kind]++
+	}
+	if len(ops) != 127_296 || kinds[micro.NOR] != 122_880 {
+		t.Errorf("RDIV on racer: %d micro-ops, %d NOR; want 127296 and 122880 (mix %v)", len(ops), kinds[micro.NOR], kinds)
 	}
 }

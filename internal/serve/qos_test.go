@@ -90,8 +90,8 @@ func scrapeMetric(t *testing.T, url, name string) string {
 }
 
 // preemptOnce runs the preemption choreography against a single-machine pool:
-// a batch request is admitted first and held in its coalescing window, a
-// latency request arrives while the worker is busy, and (with preemption
+// a batch request is admitted first and held on the worker by
+// Config.DebugDelay, a latency request arrives while the worker is busy, and (with preemption
 // enabled) the batch job parks at its first ensemble boundary, the latency
 // request runs, and the batch job is restored and resumed. Returns the batch
 // run's stats and whether a preemption was recorded.
@@ -109,9 +109,9 @@ func preemptOnce(t *testing.T, cfg Config, batchReq, latReq Request) (batchStats
 		}
 		batchStats = []byte(decodeResponse(t, body).Stats)
 	}()
-	// Land the latency request inside the batch job's coalescing window so
-	// the worker is reliably busy with preemptible work.
-	time.Sleep(cfg.BatchWindow / 4)
+	// Land the latency request inside the batch job's hold so the worker is
+	// reliably busy with preemptible work.
+	time.Sleep(cfg.DebugDelay / 4)
 	code, body := postExecuteClass(t, ts.URL, ClassLatency, latReq)
 	if code != http.StatusOK {
 		t.Fatalf("latency request: %d %s", code, body)
@@ -140,11 +140,11 @@ func TestServePreemptParity(t *testing.T) {
 	want := []byte(decodeResponse(t, body).Stats)
 
 	cfg := Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 300 * time.Millisecond,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 300 * time.Millisecond,
 	}
 	// The choreography depends on the latency request landing inside the
-	// batch window; retry on a slow machine rather than flake.
+	// batch job's hold; retry on a slow machine rather than flake.
 	for attempt := 0; attempt < 3; attempt++ {
 		got, preempted := preemptOnce(t, cfg, batchReq, latReq)
 		if t.Failed() {
@@ -177,9 +177,9 @@ func TestServeNoPreempt(t *testing.T) {
 	want := []byte(decodeResponse(t, body).Stats)
 
 	got, preempted := preemptOnce(t, Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 150 * time.Millisecond,
-		NoPreempt:   true,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 150 * time.Millisecond,
+		NoPreempt:  true,
 	}, batchReq, latReq)
 	if t.Failed() {
 		return
@@ -226,8 +226,8 @@ func TestClassCoalescingSeparation(t *testing.T) {
 // restore was observed.
 func TestParkedGaugesDrain(t *testing.T) {
 	cfg := Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 300 * time.Millisecond,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 300 * time.Millisecond,
 	}
 	batchReq := Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11}
 	latReq := Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3}
@@ -242,7 +242,7 @@ func TestParkedGaugesDrain(t *testing.T) {
 				t.Errorf("batch request: %d %s", code, body)
 			}
 		}()
-		time.Sleep(cfg.BatchWindow / 4)
+		time.Sleep(cfg.DebugDelay / 4)
 		if code, body := postExecuteClass(t, ts.URL, ClassLatency, latReq); code != http.StatusOK {
 			t.Fatalf("latency request: %d %s", code, body)
 		}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,10 +70,14 @@ type Config struct {
 	// admission with 503 + Retry-After. Default 64.
 	QueueDepth int
 
-	// BatchWindow is how long a dequeued batch keeps accepting identical
-	// requests before it is sealed and executed. Under load batches also
-	// accumulate joiners while queued. Default 2ms; negative disables the
-	// wait (a zero value means the default).
+	// BatchWindow is the shortest time a batch-class batch accepts
+	// identical requests, counted from its first request's admission. The
+	// window overlaps execution: a worker runs the batch as soon as it takes
+	// it, joiners keep arriving while it is queued, running or parked, and
+	// the shared answer is delivered — and the batch sealed — at
+	// max(done, created+BatchWindow). Latency-class batches seal when a
+	// worker takes them. Default 2ms; negative seals every batch at take (a
+	// zero value means the default).
 	BatchWindow time.Duration
 
 	// MaxElements caps a workload request's element count. Default 1<<20.
@@ -321,16 +326,28 @@ type execReq struct {
 type batchResult struct {
 	status int
 	body   []byte
+
+	// resp is a successful run's envelope with its stats already encoded.
+	// It is marshalled at delivery, once the seal has fixed batch_size.
+	resp *Response
 }
 
 // batch is one piece of work in a pool's admission queue plus the waiters
-// coalesced onto it.
+// coalesced onto it. It stays open to joiners from admission until its seal
+// (see armSeal), and its result is delivered once it is sealed and done.
 type batch struct {
 	key     string
 	class   string
 	req     *execReq
 	created time.Time
-	waiters []chan *batchResult // guarded by the pool mutex until sealed
+
+	// The fields below are guarded by the pool mutex. waiters grows while
+	// the batch is open — queued, running, parked or finished inside its
+	// window — and is frozen by the seal, so delivery reads it without the
+	// lock.
+	waiters []chan *batchResult
+	res     *batchResult // the run's outcome once done
+	timer   *time.Timer  // ends the window, while in pool.pending
 }
 
 // workerState is the scheduler's view of one executor goroutine and its
@@ -371,6 +388,7 @@ type pool struct {
 	batQ    []*batch   // batch-class admission queue
 	parked  []*parkedJob
 	open    map[string]*batch // batches still accepting joiners
+	pending map[*batch]bool   // taken batches whose window is still running
 	workers []*workerState
 	closed  bool
 }
@@ -397,6 +415,7 @@ type Server struct {
 	sess     *sessionManager
 	draining atomic.Bool
 	workers  sync.WaitGroup
+	seals    sync.WaitGroup // armed window timers
 	started  time.Time
 }
 
@@ -434,6 +453,7 @@ func New(cfg Config) (*Server, error) {
 			maxParked:  cfg.MaxParked,
 			preempt:    !cfg.NoPreempt,
 			open:       map[string]*batch{},
+			pending:    map[*batch]bool{},
 		}
 		p.cond = sync.NewCond(&p.mu)
 		mc := workloads.MachineConfigFor(workloads.RunConfig{
@@ -482,10 +502,12 @@ func (s *Server) Drain() {
 // Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close drains, stops the pool workers once their queues empty, and waits
-// for them. Call only after the HTTP layer has finished in-flight handlers
-// (http.Server.Shutdown, or httptest.Server.Close in tests) — every queued
-// batch has a waiting handler, so at that point the queues are empty.
+// Close drains, stops the pool workers once their queues empty, waits for
+// them, and then seals every batch whose window is still open, so no seal
+// timer outlives the server. Call only after the HTTP layer has finished
+// in-flight handlers (http.Server.Shutdown, or httptest.Server.Close in
+// tests); a batch still open then has no waiter left but deadline-expired
+// ones.
 func (s *Server) Close() {
 	s.Drain()
 	for _, name := range s.order {
@@ -496,6 +518,24 @@ func (s *Server) Close() {
 		p.cond.Broadcast()
 	}
 	s.workers.Wait()
+	for _, name := range s.order {
+		p := s.pools[name]
+		var due []*batch
+		p.mu.Lock()
+		for b := range p.pending {
+			if b.timer.Stop() {
+				s.seals.Done() // a timer that already fired calls Done itself
+			}
+			if p.release(b) {
+				due = append(due, b)
+			}
+		}
+		p.mu.Unlock()
+		for _, b := range due {
+			s.deliver(b)
+		}
+	}
+	s.seals.Wait()
 	s.logger.log(logEntry{Msg: "closed"})
 }
 
@@ -509,16 +549,13 @@ func (s *Server) runWorker(p *pool, w *workerState) {
 		case pj != nil:
 			s.resume(p, w, pj)
 		case b != nil:
-			// The coalescing window only delays batch-class work: a latency
-			// request trades batching efficiency for response time.
-			if b.class == ClassBatch && s.cfg.BatchWindow > 0 {
-				if d := time.Until(b.created.Add(s.cfg.BatchWindow)); d > 0 {
-					time.Sleep(d)
-				}
+			if s.armSeal(p, b) {
+				// Yield before the run. Handlers admitting identical
+				// requests may be waiting for a CPU (pool workers can
+				// outnumber them); letting them run first lets them join
+				// this batch instead of starting their own runs.
+				runtime.Gosched()
 			}
-			p.mu.Lock()
-			delete(p.open, b.key) // seal: later identical requests start a new batch
-			p.mu.Unlock()
 			if s.cfg.DebugDelay > 0 {
 				time.Sleep(s.cfg.DebugDelay)
 			}
@@ -526,7 +563,7 @@ func (s *Server) runWorker(p *pool, w *workerState) {
 			if parked {
 				continue // the job is in the parking lot; pick up latency work
 			}
-			s.deliver(b, res)
+			s.complete(p, b, res)
 		default:
 			return // closed and drained
 		}
@@ -568,9 +605,86 @@ func (p *pool) take(w *workerState) (*batch, *parkedJob) {
 	}
 }
 
-// deliver fans a sealed batch's shared result out to every coalesced waiter.
-func (s *Server) deliver(b *batch, res *batchResult) {
-	s.metrics.observeBatch(len(b.waiters))
+// armSeal decides how long a freshly taken batch stays open and reports
+// whether it still is. Latency work, and every batch when the window is off,
+// seals at once. A batch-class batch stays open until its result is
+// delivered at max(done, created+BatchWindow): the worker runs it at once,
+// and a timer releases the result if the window outlasts the run.
+func (s *Server) armSeal(p *pool, b *batch) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if b.class != ClassBatch || s.cfg.BatchWindow <= 0 {
+		p.seal(b)
+		return false
+	}
+	wait := time.Until(b.created.Add(s.cfg.BatchWindow))
+	if wait <= 0 {
+		return true // the window is over: deliver when done
+	}
+	p.pending[b] = true
+	s.seals.Add(1)
+	b.timer = time.AfterFunc(wait, func() {
+		defer s.seals.Done()
+		p.mu.Lock()
+		due := p.release(b)
+		p.mu.Unlock()
+		if due {
+			s.deliver(b)
+		}
+	})
+	return true
+}
+
+// seal closes b to joiners: later identical requests start a new batch.
+// Called with p.mu held.
+func (p *pool) seal(b *batch) {
+	if p.open[b.key] == b {
+		delete(p.open, b.key)
+	}
+}
+
+// release ends b's window and reports whether its result is already in, in
+// which case b is sealed and the caller delivers it. Called with p.mu held.
+func (p *pool) release(b *batch) bool {
+	delete(p.pending, b)
+	if b.res == nil {
+		return false
+	}
+	p.seal(b)
+	return true
+}
+
+// complete records a finished batch's result and delivers it unless the
+// batch's window is still running, in which case the window's timer does.
+func (s *Server) complete(p *pool, b *batch, res *batchResult) {
+	p.mu.Lock()
+	b.res = res
+	due := !p.pending[b]
+	if due {
+		p.seal(b)
+	}
+	p.mu.Unlock()
+	if due {
+		s.deliver(b)
+	}
+}
+
+// deliver fans a sealed, finished batch's result out to every coalesced
+// waiter, building a successful run's envelope with the final batch size.
+func (s *Server) deliver(b *batch) {
+	n := len(b.waiters)
+	s.metrics.observeBatch(n)
+	res := b.res
+	if res.resp != nil {
+		resp := *res.resp
+		resp.BatchSize = n
+		body, err := json.Marshal(resp)
+		if err != nil {
+			res = errResult(http.StatusInternalServerError, err)
+		} else {
+			res = &batchResult{status: http.StatusOK, body: body}
+		}
+	}
 	for _, ch := range b.waiters {
 		ch <- res // buffered: an abandoned (deadline-expired) waiter cannot block the pool
 	}
@@ -656,7 +770,7 @@ func (s *Server) resume(p *pool, w *workerState, pj *parkedJob) {
 	s.metrics.observeUnpark(len(pj.snap))
 	t0 := time.Now()
 	if err := w.m.Restore(pj.snap); err != nil {
-		s.deliver(pj.b, errResult(http.StatusInternalServerError, err))
+		s.complete(p, pj.b, errResult(http.StatusInternalServerError, err))
 		return
 	}
 	s.metrics.observeRestore(time.Since(t0).Seconds())
@@ -665,10 +779,10 @@ func (s *Server) resume(p *pool, w *workerState, pj *parkedJob) {
 	if parked {
 		return
 	}
-	s.deliver(pj.b, res)
+	s.complete(p, pj.b, res)
 }
 
-// execute runs one sealed batch on the worker's warm machine. The second
+// execute runs one taken batch on the worker's warm machine. The second
 // return reports that the job was preempted and parked instead of finishing;
 // its result will be delivered by whichever worker resumes it.
 func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool) {
@@ -691,10 +805,9 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 	}
 	m := w.m
 	resp := Response{
-		Backend:   p.spec.Name,
-		Mode:      p.mode.String(),
-		Seed:      rq.raw.Seed,
-		BatchSize: len(b.waiters),
+		Backend: p.spec.Name,
+		Mode:    p.mode.String(),
+		Seed:    rq.raw.Seed,
 	}
 	m.Reset()
 	if err := m.LoadAll(rq.prog); err != nil {
@@ -719,7 +832,7 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 		}
 		resp.Dumps = append(resp.Dumps, RegisterDump{RFH: d.RFH, VRF: d.VRF, Reg: d.Reg, Values: vals})
 	}
-	return s.sealResponse(&resp, &cp), false
+	return s.okResult(&resp, &cp), false
 }
 
 // runKernel drives a prepared kernel batch to completion, parking it when a
@@ -756,29 +869,25 @@ func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Pr
 			Mode:         p.mode.String(),
 			Elements:     b.req.raw.Elements,
 			Seed:         b.req.raw.Seed,
-			BatchSize:    len(b.waiters),
 			Seconds:      res.Seconds,
 			Joules:       res.Joules,
 			CheckedLanes: res.CheckedLanes,
 		}
-		return s.sealResponse(&resp, res.Stats), false
+		return s.okResult(&resp, res.Stats), false
 	}
 }
 
-// sealResponse rolls the run's stats into the metrics plane and marshals the
-// shared response body.
-func (s *Server) sealResponse(resp *Response, st *machine.Stats) *batchResult {
+// okResult rolls the run's stats into the metrics plane and encodes them
+// into the shared envelope; deliver marshals the envelope once batch_size is
+// final.
+func (s *Server) okResult(resp *Response, st *machine.Stats) *batchResult {
 	s.metrics.rollupStats(st.TraceHits, st.TraceMisses, st.TraceFallbacks, st.JITCompiles, st.JITReplays, st.Rounds)
 	statsJSON, err := json.Marshal(st)
 	if err != nil {
 		return errResult(http.StatusInternalServerError, err)
 	}
 	resp.Stats = statsJSON
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return errResult(http.StatusInternalServerError, err)
-	}
-	return &batchResult{status: http.StatusOK, body: body}
+	return &batchResult{status: http.StatusOK, resp: resp}
 }
 
 func errResult(status int, err error) *batchResult {
@@ -864,6 +973,11 @@ func (s *Server) validate(raw *Request, class string) (*execReq, *pool, error) {
 	return rq, p, nil
 }
 
+// handleExecute admits one /v1/execute request — as a new batch or as a
+// joiner of an open identical one — and waits for the batch's shared answer.
+// The answer comes at max(done, seal): a batch-class request is never
+// answered before its batch's window has closed, even if the run finished
+// first, so every waiter sees the final batch_size.
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
@@ -919,8 +1033,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	case res := <-ch:
 		s.finish(w, p, raw.Workload, class, start, res.status, res)
 	case <-ctx.Done():
-		// The batch still executes (its result lands in the buffered
-		// channel); only this waiter gives up.
+		// The batch still executes and is delivered at its seal (into
+		// the buffered channel); only this waiter gives up.
 		s.finish(w, p, raw.Workload, class, start, http.StatusGatewayTimeout,
 			errResult(http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded after %s", deadline)))
 	}

@@ -209,9 +209,9 @@ func TestExecuteBinaryCommPreflight(t *testing.T) {
 // and a single busy worker, distinct requests beyond capacity are refused.
 func TestBackpressure(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		QueueDepth:  1,
-		BatchWindow: 100 * time.Millisecond, // hold the worker so the queue stays occupied
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		QueueDepth: 1,
+		DebugDelay: 100 * time.Millisecond, // hold the worker so the queue stays occupied
 	})
 	var wg sync.WaitGroup
 	status := make([]int, 8)

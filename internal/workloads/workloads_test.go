@@ -240,3 +240,35 @@ func TestMaxSimVRFsCap(t *testing.T) {
 		t.Fatalf("overflow = %v, want 4", res.Overflow)
 	}
 }
+
+// TestSmallRequestsActivateOneVRF pins the shape of a 128-element request,
+// the size the served benchmark sends: each MPU's share fits in one VRF, so
+// a data-dependent kernel runs in a single scheduler round that activates
+// one VRF. A batch-loop interchange over activated VRFs has nothing to
+// amortise at this size; docs/PERF.md relies on it.
+func TestSmallRequestsActivateOneVRF(t *testing.T) {
+	perMPU := map[string]int{"racer": 1, "mimdram": 1, "dcache": 11, "simdram": 2}
+	cases := []struct {
+		kernel, backend string
+		mode            machine.Mode
+	}{
+		{"gcd", "racer", machine.ModeMPU}, {"gcd", "mimdram", machine.ModeMPU}, {"gcd", "dcache", machine.ModeMPU},
+		{"crc32", "racer", machine.ModeMPU}, {"crc32", "dcache", machine.ModeMPU}, {"crc32", "simdram", machine.ModeMPU},
+		{"ibert-sqrt", "mimdram", machine.ModeMPU}, {"euclidean", "dcache", machine.ModeMPU},
+		{"gcd", "racer", machine.ModeBaseline},
+	}
+	for _, c := range cases {
+		spec, err := backends.ByName(c.backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(ByName(c.kernel), RunConfig{Spec: spec, Mode: c.mode, TotalElements: 128, Seed: 1, Check: true})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.kernel, c.backend, err)
+		}
+		if res.Stats.Rounds != 1 || res.VRFs != 1 || res.PerMPUElements != perMPU[c.backend] {
+			t.Errorf("%s/%s/%v: rounds %d, VRFs %d, %d elements per MPU; want 1, 1, %d",
+				c.kernel, c.backend, c.mode, res.Stats.Rounds, res.VRFs, res.PerMPUElements, perMPU[c.backend])
+		}
+	}
+}
