@@ -71,9 +71,10 @@ race-short:
 # Bounded runs of the differential oracles: random programs the linter
 # passes must execute without ensemble or capacity faults, and random
 # straight-line bodies must produce identical planes and stats whether
-# rounds run JIT-compiled, step-interpreted, or fully interpreted. The comm
-# oracle cross-checks commlint against the real scheduler: verdict-clean
-# program sets must run, flagged ones must deadlock. The FBP oracles check
+# rounds replay through the JIT's closure chains or are fully interpreted.
+# Accepted snapshot streams must re-encode byte for byte and resume
+# without panicking. The comm oracle cross-checks commlint against the real
+# scheduler: verdict-clean program sets must run, flagged ones must deadlock. The FBP oracles check
 # that the pipeline parser never panics and that every graph the compiler
 # accepts is deadlock-free by construction (lint-clean and actually runs).
 fuzz:

@@ -258,9 +258,8 @@ func BenchmarkLintLargestKernel(b *testing.B) {
 // pool. The activation limit is pinned to 1 with two VRFs per RFH so every
 // ensemble schedules at least two rounds: the /jit variant (the default
 // engine) records the first round and replays the rest through compiled
-// closure chains, /nojit replays through the step interpreter, and /notrace
-// interprets every round — the triple quantifies both the
-// compile-once/replay-many win and the JIT's margin on top of it.
+// closure chains, and /notrace interprets every round — the pair quantifies
+// the compile-once/replay-many win.
 func BenchmarkMachineRun(b *testing.B) {
 	spec := mpu.RACER()
 	var largest *workloads.Kernel
@@ -280,13 +279,12 @@ func BenchmarkMachineRun(b *testing.B) {
 		Seed: 1, MaxSimVRFs: vrfs, ActiveVRFsOverride: 1,
 	}
 	for _, bc := range []struct {
-		name           string
-		noTrace, noJIT bool
-	}{{"jit", false, false}, {"nojit", false, true}, {"notrace", true, false}} {
+		name    string
+		noTrace bool
+	}{{"jit", false}, {"notrace", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			c := cfg
 			c.NoTrace = bc.noTrace
-			c.NoJIT = bc.noJIT
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := workloads.Run(largest, c); err != nil {
@@ -303,14 +301,12 @@ func BenchmarkMachineRun(b *testing.B) {
 // then Rewinds and re-runs it — the resident-kernel regime, where every
 // scheduling round is a trace hit and no host data transfer or program load
 // is re-paid. The activation limit is pinned to 1 over many VRFs so one Run
-// replays many rounds. /jit executes the fused closure chains, /nojit the
-// step-interpreted replay, /notrace the plain interpreter; the racer
-// geometry (64 lanes, one word per plane) is where the JIT's dispatch
-// elimination pays, the simdram geometry (256 lanes, 4-word slabs) is where
-// per-word dispatch cost is already amortized and the slab interpreter is
-// competitive — both are tracked.
+// replays many rounds. /jit replays through the closure chains, /notrace
+// interprets every round; the racer geometry (64 lanes, one word per plane)
+// runs fused-run kernels, the simdram geometry (256 lanes, 4-word slabs)
+// binds the slab interpreter into its chains — both are tracked.
 func BenchmarkTraceReplay(b *testing.B) {
-	steady := func(b *testing.B, spec *mpu.Backend, vrfs int, noJIT, noTrace bool) {
+	steady := func(b *testing.B, spec *mpu.Backend, vrfs int, noTrace bool) {
 		var kern *workloads.Kernel
 		for _, k := range workloads.All() {
 			if k.Name == "sobelx" {
@@ -321,7 +317,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 			Spec: spec, Mode: 0, Seed: 1,
 			TotalElements: spec.BaselineUnits * spec.Lanes * vrfs,
 			MaxSimVRFs:    vrfs, ActiveVRFsOverride: 1,
-			NoJIT: noJIT, NoTrace: noTrace, Workers: 1,
+			NoTrace: noTrace, Workers: 1,
 		}
 		m, err := machine.New(workloads.MachineConfigFor(cfg))
 		if err != nil {
@@ -339,21 +335,19 @@ func BenchmarkTraceReplay(b *testing.B) {
 			}
 		}
 	}
-	for _, bc := range []struct {
-		name           string
-		noJIT, noTrace bool
-	}{{"jit", false, false}, {"nojit", true, false}, {"notrace", false, true}} {
-		b.Run("racer/"+bc.name, func(b *testing.B) {
-			steady(b, mpu.RACER(), 256, bc.noJIT, bc.noTrace)
-		})
-	}
-	for _, bc := range []struct {
-		name           string
-		noJIT, noTrace bool
-	}{{"jit", false, false}, {"nojit", true, false}} {
-		b.Run("simdram/"+bc.name, func(b *testing.B) {
-			steady(b, mpu.SIMDRAM(), 64, bc.noJIT, bc.noTrace)
-		})
+	for _, geo := range []struct {
+		name string
+		spec *mpu.Backend
+		vrfs int
+	}{{"racer", mpu.RACER(), 256}, {"simdram", mpu.SIMDRAM(), 64}} {
+		for _, bc := range []struct {
+			name    string
+			noTrace bool
+		}{{"jit", false}, {"notrace", true}} {
+			b.Run(geo.name+"/"+bc.name, func(b *testing.B) {
+				steady(b, geo.spec, geo.vrfs, bc.noTrace)
+			})
+		}
 	}
 }
 

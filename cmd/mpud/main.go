@@ -7,7 +7,7 @@
 //
 //	mpud [-addr :8080] [-pools racer:mpu:2,mimdram:mpu:1] [-queue 64]
 //	     [-window 2ms] [-deadline 30s] [-max-elements 1048576]
-//	     [-notrace] [-nojit] [-j N] [-node-id node0] [-quiet]
+//	     [-notrace] [-j N] [-node-id node0] [-quiet]
 //	     [-nopreempt] [-max-parked 8]
 //
 // Batching: identical batch-class requests coalesce into one run while the
@@ -72,7 +72,6 @@ func main() {
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	maxElements := flag.Int("max-elements", 1<<20, "per-request element cap for workload runs")
 	notrace := flag.Bool("notrace", false, "disable the ensemble trace engine in pool machines")
-	nojit := flag.Bool("nojit", false, "disable trace JIT compilation in pool machines (replay step-interpreted)")
 	jobs := flag.Int("j", 0, "machine scheduler workers per pool machine (0 = one per CPU)")
 	nodeID := flag.String("node-id", "", "cluster node label on /metrics gauges and request logs (empty = standalone)")
 	quiet := flag.Bool("quiet", false, "suppress JSON request logs")
@@ -83,13 +82,13 @@ func main() {
 	pipelineSmoke := flag.Bool("pipeline-smoke", false, "self-test the session plane: create, stream, 422 check, close, drain, exit")
 	flag.Parse()
 
-	if err := run(*addr, *pools, *queue, *window, *deadline, *maxElements, *notrace, *nojit, *jobs, *nodeID, *quiet, *nopreempt, *maxParked, *maxSessions, *smoke, *pipelineSmoke); err != nil {
+	if err := run(*addr, *pools, *queue, *window, *deadline, *maxElements, *notrace, *jobs, *nodeID, *quiet, *nopreempt, *maxParked, *maxSessions, *smoke, *pipelineSmoke); err != nil {
 		fmt.Fprintf(os.Stderr, "mpud: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, pools string, queue int, window, deadline time.Duration, maxElements int, notrace, nojit bool, jobs int, nodeID string, quiet, nopreempt bool, maxParked, maxSessions int, smoke, pipelineSmoke bool) error {
+func run(addr, pools string, queue int, window, deadline time.Duration, maxElements int, notrace bool, jobs int, nodeID string, quiet, nopreempt bool, maxParked, maxSessions int, smoke, pipelineSmoke bool) error {
 	specs, err := serve.ParsePoolSpecs(pools)
 	if err != nil {
 		return err
@@ -105,7 +104,6 @@ func run(addr, pools string, queue int, window, deadline time.Duration, maxEleme
 		MaxElements:     maxElements,
 		DefaultDeadline: deadline,
 		NoTrace:         notrace,
-		NoJIT:           nojit,
 		MachineWorkers:  jobs,
 		NodeID:          nodeID,
 		NoPreempt:       nopreempt,

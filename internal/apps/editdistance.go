@@ -96,9 +96,6 @@ type EditDistanceConfig struct {
 	// NoTrace forwards to machine.Config: interpret every scheduling round.
 	NoTrace bool
 
-	// NoJIT forwards to machine.Config: trace replay stays step-interpreted.
-	NoJIT bool
-
 	// MachineWorkers forwards to machine.Config.Workers: scheduler
 	// goroutines executing ring positions concurrently between rendezvous
 	// (0 = one per CPU, 1 = sequential; statistics are identical either
@@ -205,7 +202,7 @@ func RunEditDistance(cfg EditDistanceConfig) (*Result, error) {
 	builders := buildEditDistanceBuilders(cfg)
 
 	m, err := machine.New(machine.Config{Spec: spec, Mode: cfg.Mode, NumMPUs: cfg.MPUs,
-		NoTrace: cfg.NoTrace, NoJIT: cfg.NoJIT, Workers: cfg.MachineWorkers})
+		NoTrace: cfg.NoTrace, Workers: cfg.MachineWorkers})
 	if err != nil {
 		return nil, err
 	}

@@ -193,9 +193,6 @@ type LLMEncodeConfig struct {
 	// NoTrace forwards to machine.Config: interpret every scheduling round.
 	NoTrace bool
 
-	// NoJIT forwards to machine.Config: trace replay stays step-interpreted.
-	NoJIT bool
-
 	// MachineWorkers forwards to machine.Config.Workers: scheduler
 	// goroutines executing participant MPUs concurrently between rendezvous
 	// (0 = one per CPU, 1 = sequential; statistics are identical either
@@ -325,7 +322,7 @@ func RunLLMEncode(cfg LLMEncodeConfig) (*Result, error) {
 	builders := buildLLMEncodeBuilders(cfg)
 
 	m, err := machine.New(machine.Config{Spec: spec, Mode: cfg.Mode, NumMPUs: mpus,
-		NoTrace: cfg.NoTrace, NoJIT: cfg.NoJIT, Workers: cfg.MachineWorkers})
+		NoTrace: cfg.NoTrace, Workers: cfg.MachineWorkers})
 	if err != nil {
 		return nil, err
 	}

@@ -29,13 +29,13 @@ func runApp(name string, spec *backends.Spec, mode machine.Mode, opts Options, m
 	switch name {
 	case "LLMEncode":
 		return apps.RunLLMEncode(apps.LLMEncodeConfig{Spec: spec, Mode: mode, Workers: llmWorkers, VRFs: llmVRFs,
-			Seed: opts.Seed, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT, MachineWorkers: mw})
+			Seed: opts.Seed, NoTrace: opts.NoTrace, MachineWorkers: mw})
 	case "BlackScholes":
 		return apps.RunBlackScholes(apps.BlackScholesConfig{Spec: spec, Mode: mode, Options: bsOptVRFs * spec.Lanes,
-			Seed: opts.Seed, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT, MachineWorkers: mw})
+			Seed: opts.Seed, NoTrace: opts.NoTrace, MachineWorkers: mw})
 	case "EditDistance":
 		return apps.RunEditDistance(apps.EditDistanceConfig{Spec: spec, Mode: mode, MPUs: edRing, VRFs: edVRFs,
-			Seed: opts.Seed, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT, MachineWorkers: mw})
+			Seed: opts.Seed, NoTrace: opts.NoTrace, MachineWorkers: mw})
 	}
 	return nil, fmt.Errorf("exp: unknown application %q", name)
 }
@@ -269,7 +269,7 @@ func AblationRecipeTable(opts Options) ([]AblationRecipeRow, error) {
 		rc.TemplateLookup = c.tmplCache
 		res, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
-			Seed: opts.Seed, RecipeCache: rc, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+			Seed: opts.Seed, RecipeCache: rc, NoTrace: opts.NoTrace,
 		})
 		if err != nil {
 			return AblationRecipeRow{}, err
@@ -309,7 +309,7 @@ func AblationThermal(opts Options) ([]AblationThermalRow, error) {
 		res, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
 			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, ActiveVRFsOverride: limits[i],
-			NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+			NoTrace: opts.NoTrace,
 		})
 		if err != nil {
 			return AblationThermalRow{}, err
@@ -359,7 +359,7 @@ func AblationDivergence(opts Options) ([]AblationDivergenceRow, error) {
 	return sweep.Map(opts.Workers, len(limits), func(i int) (AblationDivergenceRow, error) {
 		res, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
-			Seed: opts.Seed, ActiveVRFsOverride: limits[i], NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+			Seed: opts.Seed, ActiveVRFsOverride: limits[i], NoTrace: opts.NoTrace,
 		})
 		if err != nil {
 			return AblationDivergenceRow{}, err

@@ -51,7 +51,7 @@ type Fig12Result struct {
 	TraceHits, TraceMisses, TraceFallbacks uint64
 
 	// Trace-JIT accounting: compiled closure-chain programs and the replay
-	// rounds they served (zero with -notrace or -nojit).
+	// rounds they served (zero with -notrace).
 	JITCompiles, JITReplays uint64
 }
 
@@ -70,14 +70,14 @@ func Fig12(opts Options) ([]*Fig12Result, error) {
 		n := elementsFor(spec, opts.Scale)
 		mpu, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
-			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace,
 		})
 		if err != nil {
 			return cell{}, fmt.Errorf("fig12 %s MPU:%s: %w", k.Name, spec.Name, err)
 		}
 		base, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeBaseline, TotalElements: n,
-			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace,
 			ComputeScale: baselineComputeScale(k),
 		})
 		if err != nil {
@@ -192,14 +192,14 @@ func Fig13(opts Options) ([]*Fig13Result, error) {
 		}
 		mpu, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
-			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace,
 		})
 		if err != nil {
 			return GPURow{}, err
 		}
 		base, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeBaseline, TotalElements: n,
-			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace,
 			ComputeScale: baselineComputeScale(k),
 		})
 		if err != nil {

@@ -2,10 +2,9 @@ package machine_test
 
 // FuzzJITParity is the trace JIT's differential oracle: arbitrary bytes are
 // shaped into a lint-clean straight-line compute-ensemble body, and the body
-// runs three times — JIT (default), NoJIT (step-interpreted trace replay),
-// and NoTrace (pure interpreter). All three must leave identical register
-// planes in every VRF and report identical Stats (engine-strategy counters
-// aside). Each body also runs under a deliberately tiny recipe table so the
+// runs twice — JIT (default: replayed rounds run the closure chain) and
+// NoTrace (pure interpreter). Both must leave identical register planes in
+// every VRF and report identical Stats (engine-strategy counters aside). Each body also runs under a deliberately tiny recipe table so the
 // recipe-cold replay fallback (ReplayAllHit false) is exercised, and the
 // seed corpus includes a body large enough to spill the playback buffer.
 //
@@ -87,11 +86,11 @@ func fuzzProgram(spec *backends.Spec, body []isa.Instr) (isa.Program, []controlp
 // fuzzRun executes prog on a fresh machine and returns its stats plus the
 // full register window of every activated VRF.
 func fuzzRun(t *testing.T, spec *backends.Spec, prog isa.Program, addrs []controlpath.VRFAddr,
-	rc controlpath.RecipeCacheConfig, noTrace, noJIT bool, seed int64) (*machine.Stats, [][]uint64) {
+	rc controlpath.RecipeCacheConfig, noTrace bool, seed int64) (*machine.Stats, [][]uint64) {
 	t.Helper()
 	m, err := machine.New(machine.Config{
 		Spec: spec, Mode: machine.ModeMPU, NumMPUs: 1,
-		ActiveVRFsOverride: 1, Recipe: rc, NoTrace: noTrace, NoJIT: noJIT,
+		ActiveVRFsOverride: 1, Recipe: rc, NoTrace: noTrace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,20 +146,18 @@ func checkJITParity(t *testing.T, data []byte) {
 			continue
 		}
 		for ri, rc := range recipes {
-			jitStats, jitPlanes := fuzzRun(t, spec, prog, addrs, rc, false, false, seed)
-			nojitStats, nojitPlanes := fuzzRun(t, spec, prog, addrs, rc, false, true, seed)
-			notraceStats, notracePlanes := fuzzRun(t, spec, prog, addrs, rc, true, false, seed)
+			jitStats, jitPlanes := fuzzRun(t, spec, prog, addrs, rc, false, seed)
+			notraceStats, notracePlanes := fuzzRun(t, spec, prog, addrs, rc, true, seed)
 			name := spec.Name
 			if ri == 1 {
 				name += "/recipe-cold"
 			}
-			requireParity(t, name, jitStats, nojitStats, notraceStats)
+			requireParity(t, name, jitStats, notraceStats)
 			for i := range jitPlanes {
 				for l := range jitPlanes[i] {
-					if jitPlanes[i][l] != nojitPlanes[i][l] || jitPlanes[i][l] != notracePlanes[i][l] {
-						t.Fatalf("%s: plane %d lane %d diverges: jit=%#x nojit=%#x notrace=%#x\nprogram:\n%s",
-							name, i, l, jitPlanes[i][l], nojitPlanes[i][l], notracePlanes[i][l],
-							isa.Disassemble(prog))
+					if jitPlanes[i][l] != notracePlanes[i][l] {
+						t.Fatalf("%s: plane %d lane %d diverges: jit=%#x notrace=%#x\nprogram:\n%s",
+							name, i, l, jitPlanes[i][l], notracePlanes[i][l], isa.Disassemble(prog))
 					}
 				}
 			}

@@ -11,18 +11,17 @@ import (
 	"mpu/internal/workloads"
 )
 
-// warmMachine builds a machine for the given engine flags, runs sobelx on it
+// warmMachine builds a machine for the given engine flag, runs sobelx on it
 // once (recording traces and warming the recipe table), and returns it with
 // its config. sobelx is straight-line and fits both the playback buffer and
 // the recipe table, so every later round of a rewound run replays.
-func warmMachine(t testing.TB, noJIT, noTrace bool, vrfs int) *machine.Machine {
+func warmMachine(t testing.TB, noTrace bool, vrfs int) *machine.Machine {
 	t.Helper()
 	spec := backends.RACER()
 	cfg := workloads.RunConfig{
 		Spec: spec, Mode: machine.ModeMPU, Seed: 1,
 		TotalElements: spec.BaselineUnits * spec.Lanes * vrfs,
-		MaxSimVRFs:    vrfs, ActiveVRFsOverride: 1, Workers: 1,
-		NoJIT: noJIT, NoTrace: noTrace,
+		MaxSimVRFs:    vrfs, ActiveVRFsOverride: 1, Workers: 1, NoTrace: noTrace,
 	}
 	m, err := machine.New(workloads.MachineConfigFor(cfg))
 	if err != nil {
@@ -53,7 +52,7 @@ func rewindRun(t testing.TB, m *machine.Machine) *machine.Stats {
 // as they do cold (strategy counters aside).
 func TestRewindSteadyState(t *testing.T) {
 	const vrfs = 32
-	jit := warmMachine(t, false, false, vrfs)
+	jit := warmMachine(t, false, vrfs)
 	w1 := rewindRun(t, jit)
 
 	if w1.TraceMisses != 0 {
@@ -68,8 +67,8 @@ func TestRewindSteadyState(t *testing.T) {
 	if w1.JITReplays == 0 {
 		t.Error("steady-state run executed no compiled replays")
 	}
-	if w1.JITReplays > w1.TraceHits {
-		t.Errorf("more JIT replays (%d) than trace hits (%d)", w1.JITReplays, w1.TraceHits)
+	if w1.JITReplays != w1.TraceHits {
+		t.Errorf("%d JIT replays for %d trace hits; every replayed round runs a chain", w1.JITReplays, w1.TraceHits)
 	}
 
 	w2 := rewindRun(t, jit)
@@ -77,26 +76,23 @@ func TestRewindSteadyState(t *testing.T) {
 		t.Errorf("steady state is not a fixed point:\nrun1: %s\nrun2: %s", b1, b2)
 	}
 
-	nojit := rewindRun(t, warmMachine(t, true, false, vrfs))
-	notrace := rewindRun(t, warmMachine(t, false, true, vrfs))
-	requireParity(t, "sobelx-rewound", w1, nojit, notrace)
+	notrace := rewindRun(t, warmMachine(t, true, vrfs))
+	requireParity(t, "sobelx-rewound", w1, notrace)
 }
 
-// TestReplayAllocsEngineInvariant is the zero-allocation regression guard
-// for the replay hot loop: a rewound run's allocations on the replay
-// engines are the phase scheduler's per-round batching and nothing else,
-// so /jit and /nojit must allocate identically — the compiled closure
-// chains add zero allocations on top of the step-interpreted replay. A JIT
-// that allocated per replayed round (a slice header, a boxed interface, a
-// deferred mask copy) shifts the /jit number and fails here. The plain
+// TestReplayAllocsEngineInvariant is the allocation regression guard for
+// the replay hot loop: a rewound run's allocations on the replay engine are
+// the phase scheduler's per-round batching and nothing else, and the plain
 // interpreter allocates strictly more (per-round interpretation work the
-// trace engine exists to eliminate), so it bounds the other two from
-// above. (trace.TestProgRunDoesNotAllocate pins the closure chains
-// themselves at exactly zero.)
+// trace engine exists to eliminate), so it bounds the replay engine from
+// above. trace.TestProgRunDoesNotAllocate pins the closure chains
+// themselves at exactly zero allocations, so a chain that allocated per
+// replayed round (a slice header, a boxed interface, a deferred mask copy)
+// fails there even when this bound still holds.
 func TestReplayAllocsEngineInvariant(t *testing.T) {
 	const vrfs = 32
-	measure := func(noJIT, noTrace bool) float64 {
-		m := warmMachine(t, noJIT, noTrace, vrfs)
+	measure := func(noTrace bool) float64 {
+		m := warmMachine(t, noTrace, vrfs)
 		return testing.AllocsPerRun(10, func() {
 			m.Rewind()
 			if _, err := m.Run(); err != nil {
@@ -104,13 +100,7 @@ func TestReplayAllocsEngineInvariant(t *testing.T) {
 			}
 		})
 	}
-	jit := measure(false, false)
-	nojit := measure(true, false)
-	notrace := measure(false, true)
-	if jit != nojit {
-		t.Errorf("compiled replay allocates differently from step replay: jit=%v nojit=%v", jit, nojit)
-	}
-	if jit > notrace {
+	if jit, notrace := measure(false), measure(true); jit > notrace {
 		t.Errorf("replay allocates more than full interpretation: jit=%v notrace=%v", jit, notrace)
 	}
 }

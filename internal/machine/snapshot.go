@@ -33,7 +33,7 @@ import (
 // restored machine replays exactly as the snapshotted one did.
 
 // snapMagic versions the snapshot format; bump it on any layout change.
-const snapMagic = "MPUSNAP1"
+const snapMagic = "MPUSNAP2"
 
 // rasDepth is the per-core return-stack limit (New passes it to
 // NewReturnStack); Restore validates frame counts against it before
@@ -73,7 +73,6 @@ func (m *Machine) fingerprint() []byte {
 	w.F64(m.cfg.ComputeScale)
 	w.Int(m.cfg.MaxSteps)
 	w.Bool(m.traceEnabled())
-	w.Bool(m.cfg.NoJIT)
 	w.Int(m.cfg.Recipe.CapacityMicroOps)
 	w.Bool(m.cfg.Recipe.PointerTable)
 	w.Bool(m.cfg.Recipe.TemplateLookup)
@@ -147,10 +146,10 @@ func (m *Machine) Restore(data []byte) error {
 		// Recompile the traces that were JIT'd when the snapshot was taken.
 		// The memoized lowering is a pure function of the step stream and
 		// lane count and charges nothing — JITCompiles already sits in the
-		// restored local Stats — so replayed rounds take the same path, and
-		// count the same JITReplays, as the uninterrupted run.
+		// restored local Stats — so the restored machine lowers and counts
+		// exactly what the uninterrupted run would.
 		for j := range cs.tentries {
-			if t := cs.tentries[j].Tr; t != nil && t.Compiled && cs.hadProg[j] {
+			if t := cs.tentries[j].Tr; t != nil && cs.hadProg[j] {
 				t.Prog = m.jitMemo.Compile(t, m.cfg.Spec.Lanes)
 			}
 		}
@@ -504,7 +503,6 @@ func encodeTraceEntry(w *snap.Writer, e trace.CacheEntry) {
 	for _, op := range t.TouchOrder {
 		w.U8(op)
 	}
-	w.Bool(t.Compiled)
 	w.Bool(t.Prog != nil)
 }
 
@@ -596,11 +594,7 @@ func decodeTraceEntry(r *snap.Reader, progLen int) (trace.CacheEntry, bool, erro
 			t.TouchOrder[i] = r.U8()
 		}
 	}
-	t.Compiled = r.Bool()
 	hadProg := r.Bool()
-	if r.Err() == nil && hadProg && !t.Compiled {
-		return e, false, fmt.Errorf("machine: snapshot trace has a JIT program without a concluded compilation")
-	}
 	e.Tr = t
 	return e, hadProg, r.Err()
 }

@@ -208,7 +208,7 @@ func TestRestoreRejectsMismatchedMachine(t *testing.T) {
 	for _, alt := range []machine.Config{
 		{Spec: backends.RACER(), Mode: machine.ModeBaseline, NumMPUs: 2, Workers: 1},
 		{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 3, Workers: 1},
-		{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1, NoJIT: true},
+		{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1, NoTrace: true},
 	} {
 		other, err := machine.New(alt)
 		if err != nil {
@@ -288,6 +288,8 @@ func fuzzSpec() *backends.Spec {
 // with TestSnapshotResumeParity (encode∘decode = identity on real states),
 // this pins the format as canonical — there is exactly one serialization
 // of any machine state, so snapshot bytes are comparable for equality.
+// Every accepted stream is then resumed with Run, which must finish or
+// return an error without panicking.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	cfg := machine.Config{Spec: fuzzSpec(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1}
 	prog, err := isa.Assemble(`
@@ -347,5 +349,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if again := fresh.Snapshot(); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %d-byte stream re-encoded to %d different bytes", len(data), len(again))
 		}
+		// An accepted state must also be executable: resuming it on the
+		// closure chains Restore lowered again for this 48-lane geometry
+		// either finishes or reports an error, never panics.
+		_, _ = fresh.Run()
 	})
 }

@@ -1,11 +1,11 @@
 package machine_test
 
-// Trace-engine and trace-JIT parity difftest: neither the compile-once/
-// replay-many engine nor the JIT'd closure-chain replay may be visible in
-// any reported number. Each kernel and application runs three times — JIT
-// (the default), NoJIT (trace engine with step-interpreted replay), and
-// NoTrace (pure interpreter) — on every back end in both modes, and the
-// three Stats must match byte for byte, engine-strategy counters aside.
+// Trace-engine parity difftest: the compile-once/replay-many engine, whose
+// replayed rounds run JIT'd closure chains, may not be visible in any
+// reported number. Each kernel and application runs twice — JIT (the
+// default) and NoTrace (pure interpreter) — on every back end in both
+// modes, and the two Stats must match byte for byte, engine-strategy
+// counters aside.
 
 import (
 	"fmt"
@@ -23,18 +23,11 @@ import (
 // trace, round two replays it.
 const parityVRFs = 16
 
-// engine selects which execution strategies to disable for one parity leg.
-type engine struct {
+// engines names the two parity legs; the bool is the leg's NoTrace.
+var engines = []struct {
 	name    string
 	noTrace bool
-	noJIT   bool
-}
-
-var engines = []engine{
-	{"jit", false, false},
-	{"nojit", false, true},
-	{"notrace", true, false},
-}
+}{{"jit", false}, {"notrace", true}}
 
 // stripTrace clears the counters that describe simulator execution strategy
 // rather than modeled hardware; everything else must match exactly.
@@ -45,14 +38,10 @@ func stripTrace(st *machine.Stats) machine.Stats {
 	return c
 }
 
-func requireParity(t *testing.T, name string, jit, nojit, notrace *machine.Stats) {
+func requireParity(t *testing.T, name string, jit, notrace *machine.Stats) {
 	t.Helper()
-	a, b, c := stripTrace(jit), stripTrace(nojit), stripTrace(notrace)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("%s: stats diverge between JIT and step-interpreted replay:\n  jit: %+v\nnojit: %+v", name, a, b)
-	}
-	if !reflect.DeepEqual(b, c) {
-		t.Errorf("%s: stats diverge between trace engine on and off:\n  nojit: %+v\nnotrace: %+v", name, b, c)
+	if a, b := stripTrace(jit), stripTrace(notrace); !reflect.DeepEqual(a, b) {
+		t.Errorf("%s: stats diverge between trace engine on and off:\n  jit: %+v\nnotrace: %+v", name, a, b)
 	}
 	if notrace.TraceHits+notrace.TraceMisses+notrace.TraceFallbacks != 0 {
 		t.Errorf("%s: NoTrace run reported trace counters: %+v", name, notrace)
@@ -60,11 +49,8 @@ func requireParity(t *testing.T, name string, jit, nojit, notrace *machine.Stats
 	if notrace.JITCompiles+notrace.JITReplays != 0 {
 		t.Errorf("%s: NoTrace run reported JIT counters: %+v", name, notrace)
 	}
-	if nojit.JITCompiles+nojit.JITReplays != 0 {
-		t.Errorf("%s: NoJIT run reported JIT counters: %+v", name, nojit)
-	}
-	if jit.JITReplays > jit.TraceHits {
-		t.Errorf("%s: more JIT replays (%d) than trace hits (%d)", name, jit.JITReplays, jit.TraceHits)
+	if jit.JITReplays != jit.TraceHits {
+		t.Errorf("%s: %d JIT replays for %d trace hits; every replayed round runs a chain", name, jit.JITReplays, jit.TraceHits)
 	}
 }
 
@@ -74,7 +60,7 @@ func TestTraceParity(t *testing.T) {
 		for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
 			for _, k := range workloads.All() {
 				name := fmt.Sprintf("%s/%s/%s", k.Name, spec.Name, mode)
-				run := func(e engine) *machine.Stats {
+				run := func(noTrace bool) *machine.Stats {
 					res, err := workloads.Run(k, workloads.RunConfig{
 						Spec:               spec,
 						Mode:               mode,
@@ -82,16 +68,15 @@ func TestTraceParity(t *testing.T) {
 						Seed:               1,
 						MaxSimVRFs:         parityVRFs,
 						ActiveVRFsOverride: 1,
-						NoTrace:            e.noTrace,
-						NoJIT:              e.noJIT,
+						NoTrace:            noTrace,
 					})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					return res.Stats
 				}
-				jit, nojit, notrace := run(engines[0]), run(engines[1]), run(engines[2])
-				requireParity(t, name, jit, nojit, notrace)
+				jit, notrace := run(false), run(true)
+				requireParity(t, name, jit, notrace)
 				totalHits += jit.TraceHits
 				totalJITReplays += jit.JITReplays
 
@@ -122,32 +107,32 @@ func TestTraceParity(t *testing.T) {
 func TestTraceParityApps(t *testing.T) {
 	type appRun struct {
 		name string
-		run  func(spec *backends.Spec, mode machine.Mode, e engine) (*apps.Result, error)
+		run  func(spec *backends.Spec, mode machine.Mode, noTrace bool) (*apps.Result, error)
 	}
 	cases := []appRun{
-		{"LLMEncode", func(spec *backends.Spec, mode machine.Mode, e engine) (*apps.Result, error) {
-			return apps.RunLLMEncode(apps.LLMEncodeConfig{Spec: spec, Mode: mode, Seed: 1, NoTrace: e.noTrace, NoJIT: e.noJIT})
+		{"LLMEncode", func(spec *backends.Spec, mode machine.Mode, noTrace bool) (*apps.Result, error) {
+			return apps.RunLLMEncode(apps.LLMEncodeConfig{Spec: spec, Mode: mode, Seed: 1, NoTrace: noTrace})
 		}},
-		{"BlackScholes", func(spec *backends.Spec, mode machine.Mode, e engine) (*apps.Result, error) {
-			return apps.RunBlackScholes(apps.BlackScholesConfig{Spec: spec, Mode: mode, Seed: 1, NoTrace: e.noTrace, NoJIT: e.noJIT})
+		{"BlackScholes", func(spec *backends.Spec, mode machine.Mode, noTrace bool) (*apps.Result, error) {
+			return apps.RunBlackScholes(apps.BlackScholesConfig{Spec: spec, Mode: mode, Seed: 1, NoTrace: noTrace})
 		}},
-		{"EditDistance", func(spec *backends.Spec, mode machine.Mode, e engine) (*apps.Result, error) {
-			return apps.RunEditDistance(apps.EditDistanceConfig{Spec: spec, Mode: mode, Seed: 1, NoTrace: e.noTrace, NoJIT: e.noJIT})
+		{"EditDistance", func(spec *backends.Spec, mode machine.Mode, noTrace bool) (*apps.Result, error) {
+			return apps.RunEditDistance(apps.EditDistanceConfig{Spec: spec, Mode: mode, Seed: 1, NoTrace: noTrace})
 		}},
 	}
 	for _, spec := range backends.All() {
 		for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
 			for _, c := range cases {
 				name := fmt.Sprintf("%s/%s/%s", c.name, spec.Name, mode)
-				var st [3]*machine.Stats
+				var st [2]*machine.Stats
 				for i, e := range engines {
-					r, err := c.run(spec, mode, e)
+					r, err := c.run(spec, mode, e.noTrace)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", name, e.name, err)
 					}
 					st[i] = r.Stats
 				}
-				requireParity(t, name, st[0], st[1], st[2])
+				requireParity(t, name, st[0], st[1])
 			}
 		}
 	}

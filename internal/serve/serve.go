@@ -93,10 +93,6 @@ type Config struct {
 	// NoTrace builds the pool machines with the trace engine disabled.
 	NoTrace bool
 
-	// NoJIT builds the pool machines with trace JIT compilation disabled
-	// (traces replay step-interpreted).
-	NoJIT bool
-
 	// MachineWorkers is forwarded to each pool machine's scheduler
 	// (kernel requests simulate one MPU, so this only matters for
 	// submitted multi-MPU binaries).
@@ -457,7 +453,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		p.cond = sync.NewCond(&p.mu)
 		mc := workloads.MachineConfigFor(workloads.RunConfig{
-			Spec: spec, Mode: ps.Mode, NoTrace: cfg.NoTrace, NoJIT: cfg.NoJIT, Workers: cfg.MachineWorkers,
+			Spec: spec, Mode: ps.Mode, NoTrace: cfg.NoTrace, Workers: cfg.MachineWorkers,
 		})
 		for i := 0; i < size; i++ {
 			m, err := machine.New(mc)
@@ -795,7 +791,6 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 			Seed:          rq.raw.Seed,
 			Check:         rq.raw.Check,
 			NoTrace:       s.cfg.NoTrace,
-			NoJIT:         s.cfg.NoJIT,
 			Workers:       s.cfg.MachineWorkers,
 		})
 		if err != nil {

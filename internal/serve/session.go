@@ -191,7 +191,7 @@ func sessionKey(spec *backends.Spec, mode machine.Mode, mpus int) string {
 // agree across every machine the manager ever builds for that key.
 func (s *Server) sessionMachineConfig(spec *backends.Spec, mode machine.Mode, mpus int) machine.Config {
 	mc := workloads.MachineConfigFor(workloads.RunConfig{
-		Spec: spec, Mode: mode, NoTrace: s.cfg.NoTrace, NoJIT: s.cfg.NoJIT, Workers: s.cfg.MachineWorkers,
+		Spec: spec, Mode: mode, NoTrace: s.cfg.NoTrace, Workers: s.cfg.MachineWorkers,
 	})
 	mc.NumMPUs = mpus
 	return mc

@@ -1,31 +1,36 @@
 package trace
 
-import "mpu/internal/vrf"
+import (
+	"fmt"
 
-// JIT compilation: when the machine installs a freshly recorded Trace, it
+	"mpu/internal/vrf"
+)
+
+// JIT compilation: when the machine first replays an installed Trace, it
 // lowers the step stream once into a Prog — a flat chain of closures with
-// everything the interpreter resolves per op (operand directory indices,
-// recipe expansions, lane-mask merges, plane aliasing) pre-bound at compile
-// time. StepExec streams become vrf.CompiledExec fused-run kernels; mask
-// steps become direct method calls. Replaying a round is then a tight loop
-// of direct calls with zero per-op dispatch and zero allocation.
+// everything a step interpreter would resolve per step (step kinds, mask
+// register operands, and on 64-lane VRFs the operand directory indices,
+// lane-mask merges and plane aliasing) pre-bound at compile time. Replaying
+// a round is then a tight loop of direct calls with zero allocation.
 //
-// Compilation declines (returns nil) when any exec stream fails to lower —
-// a lane geometry without a flat word directory, or an unknown micro-op —
-// and replay keeps interpreting Steps, so the JIT is strictly an engine
-// swap: the Prog touches the same words the interpreter would, in the same
+// The lane count picks each exec step's body. On the 64-lane geometry the
+// stream becomes a vrf.CompiledExec fused-run kernel; every other geometry
+// (the multi-word slabs of 256-lane back ends, and the ragged lane counts
+// tests use) binds the reference executor, ExecAllResolved, whose slab
+// kernels already amortize dispatch over several words per plane. Either
+// way the Prog touches the same words the interpreter would, in the same
 // order, under the same mask.
 
-// Prog is a JIT-compiled body: the closure chain replacing Steps during
-// replay.
+// Prog is a JIT-compiled body: the closure chain every replayed round runs.
 type Prog struct {
 	steps []func(v *vrf.VRF)
 	ops   uint64 // total micro-ops per execution, across all exec steps
 }
 
 // CompileJIT lowers a compiled trace for VRFs of the given lane count. It
-// returns nil — caller stays on the step interpreter — if any exec stream
-// cannot be compiled.
+// returns nil only for a nil trace. A step kind no recorder produces panics
+// here; an unknown micro-op kind panics here on 64 lanes and on the first
+// Run elsewhere, as the reference executor does.
 func CompileJIT(t *Trace, lanes int) *Prog {
 	if t == nil {
 		return nil
@@ -35,12 +40,13 @@ func CompileJIT(t *Trace, lanes int) *Prog {
 		s := &t.Steps[i]
 		switch s.Kind {
 		case StepExec:
-			c := vrf.CompileResolved(s.Ops, lanes)
-			if c == nil {
-				return nil
+			p.ops += uint64(len(s.Ops))
+			if c := vrf.CompileResolved(s.Ops, lanes); c != nil {
+				p.steps = append(p.steps, func(v *vrf.VRF) { v.RunCompiled(c) })
+				continue
 			}
-			p.ops += c.Ops()
-			p.steps = append(p.steps, func(v *vrf.VRF) { v.RunCompiled(c) })
+			ops := s.Ops
+			p.steps = append(p.steps, func(v *vrf.VRF) { v.ExecAllResolved(ops) })
 		case StepSetMaskCond:
 			p.steps = append(p.steps, (*vrf.VRF).SetMaskFromCond)
 		case StepSetMaskReg:
@@ -52,7 +58,7 @@ func CompileJIT(t *Trace, lanes int) *Prog {
 			r := int(s.Arg)
 			p.steps = append(p.steps, func(v *vrf.VRF) { v.GetMaskInto(r) })
 		default:
-			return nil
+			panic(fmt.Sprintf("trace: unknown step kind %d", s.Kind))
 		}
 	}
 	return p

@@ -32,8 +32,8 @@ func jitBody() *Trace {
 	}
 }
 
-// The compiled Prog must mutate a VRF exactly like the step interpreter
-// (the replayRound loop in internal/machine).
+// interpretSteps is the reference step interpreter: the compiled Prog must
+// mutate a VRF exactly like interpreting the steps one by one.
 func interpretSteps(tr *Trace, v *vrf.VRF) {
 	for i := range tr.Steps {
 		s := &tr.Steps[i]
@@ -54,7 +54,8 @@ func interpretSteps(tr *Trace, v *vrf.VRF) {
 
 func TestCompileJITMatchesStepInterpreter(t *testing.T) {
 	tr := jitBody()
-	for _, lanes := range []int{64, 256} {
+	// 64: fused-run kernels; 256: slab interpreter; 48: ragged planes.
+	for _, lanes := range []int{64, 256, 48} {
 		p := CompileJIT(tr, lanes)
 		if p == nil {
 			t.Fatalf("lanes=%d: CompileJIT declined a straight-line body", lanes)
@@ -96,24 +97,36 @@ func TestCompileJITMatchesStepInterpreter(t *testing.T) {
 	}
 }
 
-func TestCompileJITDeclines(t *testing.T) {
+// TestCompileJITContract pins what CompileJIT accepts: a nil trace has no
+// program, every lane count compiles, and a micro-op kind no recorder
+// produces panics on every geometry — when compiled on 64 lanes, when run
+// through the reference executor elsewhere.
+func TestCompileJITContract(t *testing.T) {
 	if CompileJIT(nil, 64) != nil {
 		t.Error("compiled a nil trace")
 	}
-	tr := jitBody()
-	if CompileJIT(tr, 65) != nil {
-		t.Error("compiled for a ragged lane count")
+	for _, lanes := range []int{1, 48, 65, 128} {
+		if CompileJIT(jitBody(), lanes) == nil {
+			t.Errorf("lanes=%d: declined a straight-line body", lanes)
+		}
 	}
 	bad := &Trace{Steps: []Step{{Kind: StepExec, Ops: []micro.ResolvedOp{{Kind: 200}}}}}
-	if CompileJIT(bad, 64) != nil {
-		t.Error("compiled an unknown micro-op kind")
+	for _, lanes := range []int{64, 256, 48} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("lanes=%d: compiled and ran an unknown micro-op kind without panicking", lanes)
+				}
+			}()
+			CompileJIT(bad, lanes).Run(vrf.New(lanes))
+		}()
 	}
 }
 
 // Replay is the simulator's hot loop: one compiled round must not allocate.
 func TestProgRunDoesNotAllocate(t *testing.T) {
 	tr := jitBody()
-	for _, lanes := range []int{64, 256} {
+	for _, lanes := range []int{64, 256, 48} {
 		p := CompileJIT(tr, lanes)
 		v := vrf.New(lanes)
 		if n := testing.AllocsPerRun(100, func() { p.Run(v) }); n != 0 {

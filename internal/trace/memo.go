@@ -30,16 +30,14 @@ type ProgMemo struct {
 type memoEntry struct {
 	lanes int
 	steps []Step
-	prog  *Prog // nil: compilation declined; memoized so the decline is also O(1)
+	prog  *Prog
 }
 
 // NewProgMemo returns an empty memo.
 func NewProgMemo() *ProgMemo { return &ProgMemo{m: map[uint64][]memoEntry{}} }
 
 // Compile returns the JIT program for the trace's step stream, lowering it
-// at most once per distinct (stream, lanes) pair. A nil return means
-// compilation declined (unsupported lane geometry or micro-op) — also
-// memoized, so replay's step interpreter is not re-probed per recording.
+// at most once per distinct (stream, lanes) pair (nil only for a nil trace).
 func (pm *ProgMemo) Compile(t *Trace, lanes int) *Prog {
 	if t == nil {
 		return nil

@@ -81,15 +81,12 @@ type Trace struct {
 	NumLookups uint64
 	TouchOrder []uint8
 
-	// Prog, when non-nil, is the JIT-compiled form of Steps (jit.go):
-	// replay runs the closure chain instead of interpreting the steps. The
-	// machine compiles it lazily — on the body's first replayed round, not
-	// at install time — so bodies that never replay (recipe-cold decode,
-	// NoJIT) are never lowered. Compiled records that the lowering attempt
-	// concluded; Prog nil after that means the JIT declined (unsupported
-	// lane geometry or micro-op, or disabled) and replay interprets Steps.
-	Prog     *Prog
-	Compiled bool
+	// Prog is the JIT-compiled form of Steps (jit.go), the closure chain
+	// every replayed round runs. The machine compiles it lazily — on the
+	// body's first replayed round, not at install time — so bodies that
+	// never replay (recipe-cold decode) are never lowered; nil means not
+	// lowered yet.
+	Prog *Prog
 }
 
 // Cache holds one core's compiled bodies, each entry carrying the

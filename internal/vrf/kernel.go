@@ -1,70 +1,50 @@
 package vrf
 
 import (
-	"mpu/internal/bitvec"
+	"fmt"
+
 	"mpu/internal/isa"
 	"mpu/internal/micro"
 )
 
 // The trace JIT's execution substrate: a resolved micro-op stream is
-// lowered, once, into a chain of fused closures over the flat word
-// directory. micro.Runs segments the stream into maximal same-kind runs;
-// each run compiles to one closure whose loop body is that kind's merge
-// expression with the operand slots pre-packed into flat arrays, so replay
-// executes the whole stream with zero per-op kind dispatch, no plane
-// resolution, and no allocation. Every closure carries a masked and an
-// unmasked loop and picks between them by inspecting the mask word(s) at
-// entry — legal because no micro-op writes the mask plane, so the mask is
-// constant across the stream.
+// lowered, once, into a chain of fused closures over the single-word
+// directory of a 64-lane VRF. micro.Runs segments the stream into maximal
+// same-kind runs; each run compiles to one closure whose loop body is that
+// kind's merge expression with the operand slots pre-packed into flat
+// arrays, so replay executes the whole stream with zero per-op kind
+// dispatch, no plane resolution, and no allocation. Every closure carries a
+// masked and an unmasked loop and picks between them by inspecting the
+// mask word at entry — legal because no micro-op writes the mask plane, so
+// the mask is constant across the stream. Wider geometries replay through
+// ExecAllResolved, whose slab kernels already amortize dispatch over
+// several words per plane.
 
 // CompiledExec is one resolved stream lowered to a fused closure chain for
-// a fixed lane geometry. Compile with CompileResolved; execute with
+// 64-lane VRFs. Compile with CompileResolved; execute with
 // (*VRF).RunCompiled.
 type CompiledExec struct {
-	lanes int
-	k64   []kern64 // lanes == 64: one word per plane
-	kw    []kernW  // lanes > 64: wpl words per plane
-	n     uint64   // micro-ops per execution (MicroOps accounting)
+	k64 []kern64
+	n   uint64 // micro-ops per execution (MicroOps accounting)
 }
 
 // kern64 executes one fused run over a single-word directory under mask m.
 type kern64 func(ws []uint64, m uint64)
 
-// kernW executes one fused run over a multi-word directory under mask span
-// m. all is the caller's hoisted AllOnes(m) verdict: no micro-op writes the
-// mask plane, so the mask — and the masked/unmasked choice — is constant
-// across the whole stream, and RunCompiled tests it once instead of every
-// fused run re-scanning the mask words.
-type kernW func(ws []uint64, m []uint64, all bool)
-
 // Ops reports the number of micro-ops one execution simulates.
 func (c *CompiledExec) Ops() uint64 { return c.n }
 
-// CompileResolved lowers a resolved stream for the given lane count. It
-// returns nil when the geometry has no flat word directory (lanes not a
-// multiple of 64) or the stream contains a kind the compiler does not
-// know — the callers' signal to stay on the interpreter.
+// CompileResolved lowers a resolved stream for 64-lane VRFs. It returns nil
+// for any other lane count — the caller's signal to replay the stream
+// through ExecAllResolved — and panics on a micro-op kind it does not know,
+// exactly as the interpreting executor does.
 func CompileResolved(rs []micro.ResolvedOp, lanes int) *CompiledExec {
-	if lanes <= 0 || lanes%isa.WordBits != 0 {
+	if lanes != isa.WordBits {
 		return nil
 	}
-	c := &CompiledExec{lanes: lanes, n: uint64(len(rs))}
-	wpl := lanes / isa.WordBits
+	c := &CompiledExec{n: uint64(len(rs))}
 	for _, run := range micro.Runs(rs) {
-		ops := rs[run.Start : run.Start+run.Len]
-		if wpl == 1 {
-			k := compileRun64(run.Kind, ops)
-			if k == nil {
-				return nil
-			}
-			c.k64 = append(c.k64, k)
-		} else {
-			k := compileRunWide(run.Kind, ops, wpl)
-			if k == nil {
-				return nil
-			}
-			c.kw = append(c.kw, k)
-		}
+		c.k64 = append(c.k64, compileRun64(run.Kind, rs[run.Start:run.Start+run.Len]))
 	}
 	return c
 }
@@ -73,21 +53,13 @@ func CompileResolved(rs []micro.ResolvedOp, lanes int) *CompiledExec {
 // the same semantics (and MicroOps accounting) as ExecAllResolved on the
 // stream it was compiled from.
 func (v *VRF) RunCompiled(c *CompiledExec) {
-	if v.lanes != c.lanes {
+	if v.lanes != isa.WordBits {
 		panic("vrf: compiled stream executed on a VRF of different lane count")
 	}
 	ws := v.words
-	if v.wpl == 1 {
-		m := ws[micro.SlotMask]
-		for _, k := range c.k64 {
-			k(ws, m)
-		}
-	} else {
-		m := v.span(micro.SlotMask)
-		all := bitvec.AllOnes(m)
-		for _, k := range c.kw {
-			k(ws, m, all)
-		}
+	m := ws[micro.SlotMask]
+	for _, k := range c.k64 {
+		k(ws, m)
 	}
 	v.MicroOps += c.n
 }
@@ -281,359 +253,5 @@ func compileRun64(kind micro.Kind, ops []micro.ResolvedOp) kern64 {
 			}
 		}
 	}
-	return nil
-}
-
-// compileRunWide builds the multi-word closure for one same-kind run:
-// operand slots become word-directory base offsets, and the loop body
-// reslices each operand's wpl-word span and applies the kind's merge
-// expression with `for w := range dst` — the same reslicing idiom as the
-// bitvec kernels, which is what lets the compiler eliminate the inner-loop
-// bounds checks (flat `ws[base+w]` indexing measures ~40% slower on the
-// same stream). No per-run mask scan: the caller hoists the AllOnes verdict
-// for the whole stream.
-func compileRunWide(kind micro.Kind, ops []micro.ResolvedOp, wpl int) kernW {
-	pack := func(get func(*micro.ResolvedOp) micro.Slot) []int {
-		out := make([]int, len(ops))
-		for i := range ops {
-			out[i] = int(get(&ops[i])) * wpl
-		}
-		return out
-	}
-	d := pack(func(r *micro.ResolvedOp) micro.Slot { return r.Dst })
-	a := pack(func(r *micro.ResolvedOp) micro.Slot { return r.A })
-	switch kind {
-	case micro.NOR:
-		b := pack(func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for i, di := range d {
-					dst := ws[di : di+wpl]
-					aa := ws[a[i] : a[i]+wpl]
-					bb := ws[b[i] : b[i]+wpl]
-					aa = aa[:len(dst)]
-					bb = bb[:len(dst)]
-					for w := range dst {
-						dst[w] = ^(aa[w] | bb[w])
-					}
-				}
-				return
-			}
-			for i, di := range d {
-				dst := ws[di : di+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				bb := ws[b[i] : b[i]+wpl]
-				mm := m[:len(dst)]
-				aa = aa[:len(dst)]
-				bb = bb[:len(dst)]
-				for w := range dst {
-					x := ^(aa[w] | bb[w])
-					dst[w] = (dst[w] &^ mm[w]) | (x & mm[w])
-				}
-			}
-		}
-	case micro.AND:
-		b := pack(func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for i, di := range d {
-					dst := ws[di : di+wpl]
-					aa := ws[a[i] : a[i]+wpl]
-					bb := ws[b[i] : b[i]+wpl]
-					aa = aa[:len(dst)]
-					bb = bb[:len(dst)]
-					for w := range dst {
-						dst[w] = aa[w] & bb[w]
-					}
-				}
-				return
-			}
-			for i, di := range d {
-				dst := ws[di : di+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				bb := ws[b[i] : b[i]+wpl]
-				mm := m[:len(dst)]
-				aa = aa[:len(dst)]
-				bb = bb[:len(dst)]
-				for w := range dst {
-					x := aa[w] & bb[w]
-					dst[w] = (dst[w] &^ mm[w]) | (x & mm[w])
-				}
-			}
-		}
-	case micro.OR:
-		b := pack(func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for i, di := range d {
-					dst := ws[di : di+wpl]
-					aa := ws[a[i] : a[i]+wpl]
-					bb := ws[b[i] : b[i]+wpl]
-					aa = aa[:len(dst)]
-					bb = bb[:len(dst)]
-					for w := range dst {
-						dst[w] = aa[w] | bb[w]
-					}
-				}
-				return
-			}
-			for i, di := range d {
-				dst := ws[di : di+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				bb := ws[b[i] : b[i]+wpl]
-				mm := m[:len(dst)]
-				aa = aa[:len(dst)]
-				bb = bb[:len(dst)]
-				for w := range dst {
-					x := aa[w] | bb[w]
-					dst[w] = (dst[w] &^ mm[w]) | (x & mm[w])
-				}
-			}
-		}
-	case micro.XOR:
-		b := pack(func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for i, di := range d {
-					dst := ws[di : di+wpl]
-					aa := ws[a[i] : a[i]+wpl]
-					bb := ws[b[i] : b[i]+wpl]
-					aa = aa[:len(dst)]
-					bb = bb[:len(dst)]
-					for w := range dst {
-						dst[w] = aa[w] ^ bb[w]
-					}
-				}
-				return
-			}
-			for i, di := range d {
-				dst := ws[di : di+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				bb := ws[b[i] : b[i]+wpl]
-				mm := m[:len(dst)]
-				aa = aa[:len(dst)]
-				bb = bb[:len(dst)]
-				for w := range dst {
-					x := aa[w] ^ bb[w]
-					dst[w] = (dst[w] &^ mm[w]) | (x & mm[w])
-				}
-			}
-		}
-	case micro.NOT:
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for i, di := range d {
-					dst := ws[di : di+wpl]
-					aa := ws[a[i] : a[i]+wpl]
-					aa = aa[:len(dst)]
-					for w := range dst {
-						dst[w] = ^aa[w]
-					}
-				}
-				return
-			}
-			for i, di := range d {
-				dst := ws[di : di+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				mm := m[:len(dst)]
-				aa = aa[:len(dst)]
-				for w := range dst {
-					x := ^aa[w]
-					dst[w] = (dst[w] &^ mm[w]) | (x & mm[w])
-				}
-			}
-		}
-	case micro.COPY:
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for i, di := range d {
-					copy(ws[di:di+wpl], ws[a[i]:a[i]+wpl])
-				}
-				return
-			}
-			for i, di := range d {
-				dst := ws[di : di+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				mm := m[:len(dst)]
-				aa = aa[:len(dst)]
-				for w := range dst {
-					dst[w] = (dst[w] &^ mm[w]) | (aa[w] & mm[w])
-				}
-			}
-		}
-	case micro.MAJ:
-		b := pack(func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		cc := pack(func(r *micro.ResolvedOp) micro.Slot { return r.C })
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for i, di := range d {
-					dst := ws[di : di+wpl]
-					aa := ws[a[i] : a[i]+wpl]
-					bb := ws[b[i] : b[i]+wpl]
-					cw := ws[cc[i] : cc[i]+wpl]
-					aa = aa[:len(dst)]
-					bb = bb[:len(dst)]
-					cw = cw[:len(dst)]
-					for w := range dst {
-						dst[w] = (aa[w] & bb[w]) | (bb[w] & cw[w]) | (aa[w] & cw[w])
-					}
-				}
-				return
-			}
-			for i, di := range d {
-				dst := ws[di : di+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				bb := ws[b[i] : b[i]+wpl]
-				cw := ws[cc[i] : cc[i]+wpl]
-				mm := m[:len(dst)]
-				aa = aa[:len(dst)]
-				bb = bb[:len(dst)]
-				cw = cw[:len(dst)]
-				for w := range dst {
-					x := (aa[w] & bb[w]) | (bb[w] & cw[w]) | (aa[w] & cw[w])
-					dst[w] = (dst[w] &^ mm[w]) | (x & mm[w])
-				}
-			}
-		}
-	case micro.MUX:
-		b := pack(func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		cc := pack(func(r *micro.ResolvedOp) micro.Slot { return r.C })
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for i, di := range d {
-					dst := ws[di : di+wpl]
-					aa := ws[a[i] : a[i]+wpl]
-					bb := ws[b[i] : b[i]+wpl]
-					sel := ws[cc[i] : cc[i]+wpl]
-					aa = aa[:len(dst)]
-					bb = bb[:len(dst)]
-					sel = sel[:len(dst)]
-					for w := range dst {
-						dst[w] = (aa[w] & sel[w]) | (bb[w] &^ sel[w])
-					}
-				}
-				return
-			}
-			for i, di := range d {
-				dst := ws[di : di+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				bb := ws[b[i] : b[i]+wpl]
-				sel := ws[cc[i] : cc[i]+wpl]
-				mm := m[:len(dst)]
-				aa = aa[:len(dst)]
-				bb = bb[:len(dst)]
-				sel = sel[:len(dst)]
-				for w := range dst {
-					x := (aa[w] & sel[w]) | (bb[w] &^ sel[w])
-					dst[w] = (dst[w] &^ mm[w]) | (x & mm[w])
-				}
-			}
-		}
-	case micro.FADD:
-		d2 := pack(func(r *micro.ResolvedOp) micro.Slot { return r.Dst2 })
-		b := pack(func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		cc := pack(func(r *micro.ResolvedOp) micro.Slot { return r.C })
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for i, di := range d {
-					dst := ws[di : di+wpl]
-					dst2 := ws[d2[i] : d2[i]+wpl]
-					aa := ws[a[i] : a[i]+wpl]
-					bb := ws[b[i] : b[i]+wpl]
-					cw := ws[cc[i] : cc[i]+wpl]
-					dst2 = dst2[:len(dst)]
-					aa = aa[:len(dst)]
-					bb = bb[:len(dst)]
-					cw = cw[:len(dst)]
-					for w := range dst {
-						// Inputs read before either output word is written, so
-						// outputs may alias inputs (but not each other).
-						aw, bw, ci := aa[w], bb[w], cw[w]
-						dst[w] = aw ^ bw ^ ci
-						dst2[w] = (aw & bw) | (bw & ci) | (aw & ci)
-					}
-				}
-				return
-			}
-			for i, di := range d {
-				dst := ws[di : di+wpl]
-				dst2 := ws[d2[i] : d2[i]+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				bb := ws[b[i] : b[i]+wpl]
-				cw := ws[cc[i] : cc[i]+wpl]
-				mm := m[:len(dst)]
-				dst2 = dst2[:len(dst)]
-				aa = aa[:len(dst)]
-				bb = bb[:len(dst)]
-				cw = cw[:len(dst)]
-				for w := range dst {
-					aw, bw, ci := aa[w], bb[w], cw[w]
-					s := aw ^ bw ^ ci
-					co := (aw & bw) | (bw & ci) | (aw & ci)
-					dst[w] = (dst[w] &^ mm[w]) | (s & mm[w])
-					dst2[w] = (dst2[w] &^ mm[w]) | (co & mm[w])
-				}
-			}
-		}
-	case micro.SET0:
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for _, di := range d {
-					dst := ws[di : di+wpl]
-					for w := range dst {
-						dst[w] = 0
-					}
-				}
-				return
-			}
-			for _, di := range d {
-				dst := ws[di : di+wpl]
-				mm := m[:len(dst)]
-				for w := range dst {
-					dst[w] &^= mm[w]
-				}
-			}
-		}
-	case micro.SET1:
-		return func(ws, m []uint64, all bool) {
-			if all {
-				for _, di := range d {
-					dst := ws[di : di+wpl]
-					for w := range dst {
-						dst[w] = ^uint64(0)
-					}
-				}
-				return
-			}
-			for _, di := range d {
-				dst := ws[di : di+wpl]
-				mm := m[:len(dst)]
-				for w := range dst {
-					dst[w] |= mm[w]
-				}
-			}
-		}
-	case micro.CONDWR:
-		cond := int(micro.SlotCond) * wpl
-		return func(ws, m []uint64, all bool) {
-			// Unmasked write by definition: disabled lanes read conditional
-			// bit 0 regardless of dst's prior contents.
-			for i := range a {
-				dst := ws[cond : cond+wpl]
-				aa := ws[a[i] : a[i]+wpl]
-				mm := m[:len(dst)]
-				aa = aa[:len(dst)]
-				for w := range dst {
-					dst[w] = aa[w] & mm[w]
-				}
-			}
-		}
-	case micro.MASKRD:
-		return func(ws, m []uint64, all bool) {
-			for _, di := range d {
-				copy(ws[di:di+wpl], m)
-			}
-		}
-	}
-	return nil
+	panic(fmt.Sprintf("vrf: unknown micro-op kind %d", kind))
 }

@@ -63,48 +63,49 @@ func randomize(v *VRF, rng *rand.Rand, maskedLanes bool) {
 }
 
 // The compiled closure chain must reproduce the interpreting executor's
-// directory bit for bit, masked and unmasked, at both geometries.
+// directory bit for bit, masked and unmasked.
 func TestCompiledExecMatchesInterpreter(t *testing.T) {
+	const lanes = 64
 	rng := rand.New(rand.NewSource(21))
-	for _, lanes := range []int{64, 256} {
-		for _, masked := range []bool{false, true} {
-			for trial := 0; trial < 20; trial++ {
-				rs := randResolved(1+rng.Intn(60), rng)
-				c := CompileResolved(rs, lanes)
-				if c == nil {
-					t.Fatalf("lanes=%d: CompileResolved returned nil for a well-formed stream", lanes)
-				}
-				if c.Ops() != uint64(len(rs)) {
-					t.Fatalf("lanes=%d: Ops() = %d, want %d", lanes, c.Ops(), len(rs))
-				}
-				vi, vj := New(lanes), New(lanes)
-				seed := rng.Int63()
-				randomize(vi, rand.New(rand.NewSource(seed)), masked)
-				randomize(vj, rand.New(rand.NewSource(seed)), masked)
+	for _, masked := range []bool{false, true} {
+		for trial := 0; trial < 20; trial++ {
+			rs := randResolved(1+rng.Intn(60), rng)
+			c := CompileResolved(rs, lanes)
+			if c == nil {
+				t.Fatal("CompileResolved returned nil for a well-formed stream")
+			}
+			if c.Ops() != uint64(len(rs)) {
+				t.Fatalf("Ops() = %d, want %d", c.Ops(), len(rs))
+			}
+			vi, vj := New(lanes), New(lanes)
+			seed := rng.Int63()
+			randomize(vi, rand.New(rand.NewSource(seed)), masked)
+			randomize(vj, rand.New(rand.NewSource(seed)), masked)
 
-				vi.ExecAllResolved(rs)
-				vj.RunCompiled(c)
+			vi.ExecAllResolved(rs)
+			vj.RunCompiled(c)
 
-				if vi.MicroOps != vj.MicroOps {
-					t.Fatalf("lanes=%d masked=%v: MicroOps %d vs %d", lanes, masked, vi.MicroOps, vj.MicroOps)
-				}
-				for w := range vi.words {
-					if vi.words[w] != vj.words[w] {
-						t.Fatalf("lanes=%d masked=%v trial=%d: word %d (slot %d): interp=%#x jit=%#x",
-							lanes, masked, trial, w, w/vi.wpl, vi.words[w], vj.words[w])
-					}
+			if vi.MicroOps != vj.MicroOps {
+				t.Fatalf("masked=%v: MicroOps %d vs %d", masked, vi.MicroOps, vj.MicroOps)
+			}
+			for w := range vi.words {
+				if vi.words[w] != vj.words[w] {
+					t.Fatalf("masked=%v trial=%d: word %d: interp=%#x jit=%#x",
+						masked, trial, w, vi.words[w], vj.words[w])
 				}
 			}
 		}
 	}
 }
 
-// Ragged lane counts have no word directory; the compiler must decline.
+// The fused kernels serve the single-word geometry only: ragged lane counts
+// (no word directory) and multi-word slabs (replayed through
+// ExecAllResolved) must both decline.
 func TestCompileResolvedRejectsRaggedLanes(t *testing.T) {
 	rs := randResolved(4, rand.New(rand.NewSource(3)))
-	for _, lanes := range []int{1, 63, 65, 100} {
+	for _, lanes := range []int{1, 63, 65, 100, 128, 256} {
 		if CompileResolved(rs, lanes) != nil {
-			t.Errorf("lanes=%d: compiled for a geometry without a word directory", lanes)
+			t.Errorf("lanes=%d: compiled for a geometry other than 64 lanes", lanes)
 		}
 	}
 	if CompileResolved(rs, 0) != nil || CompileResolved(rs, -64) != nil {
@@ -116,14 +117,11 @@ func TestCompileResolvedRejectsRaggedLanes(t *testing.T) {
 // loop runs millions of times per simulation.
 func TestRunCompiledDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, lanes := range []int{64, 256} {
-		rs := randResolved(64, rng)
-		c := CompileResolved(rs, lanes)
-		v := New(lanes)
-		randomize(v, rng, true)
-		if n := testing.AllocsPerRun(100, func() { v.RunCompiled(c) }); n != 0 {
-			t.Errorf("lanes=%d: RunCompiled allocates %v times per run", lanes, n)
-		}
+	c := CompileResolved(randResolved(64, rng), 64)
+	v := New(64)
+	randomize(v, rng, true)
+	if n := testing.AllocsPerRun(100, func() { v.RunCompiled(c) }); n != 0 {
+		t.Errorf("RunCompiled allocates %v times per run", n)
 	}
 }
 

@@ -56,10 +56,6 @@ type RunConfig struct {
 	// replay-many trace engine and interpret every scheduling round.
 	NoTrace bool
 
-	// NoJIT forwards to machine.Config: keep the trace engine but replay
-	// step-interpreted instead of through compiled closure chains.
-	NoJIT bool
-
 	// Workers forwards to machine.Config: scheduler goroutines executing
 	// cores concurrently between communication points (0 = one per CPU,
 	// 1 = sequential). Kernel runs simulate a single MPU, so this only
@@ -123,7 +119,6 @@ func MachineConfigFor(cfg RunConfig) machine.Config {
 		ActiveVRFsOverride: cfg.ActiveVRFsOverride,
 		Recipe:             cfg.RecipeCache,
 		NoTrace:            cfg.NoTrace,
-		NoJIT:              cfg.NoJIT,
 		Workers:            cfg.Workers,
 	}
 }
